@@ -595,7 +595,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::worker::{ReducerHost, SenderHost};
+    use crate::worker::{sender_host, ReducerHost};
     use daiet_netsim::{LinkSpec, Simulator};
     use daiet_wire::daiet::{Key, Pair};
 
@@ -884,7 +884,7 @@ mod tests {
         for slot in 0..plan.len() {
             use daiet_netsim::topology::Role;
             let id = match plan.role(slot) {
-                Role::Host if slot < 5 => sim.add_node(Box::new(SenderHost::new(
+                Role::Host if slot < 5 => sim.add_node(Box::new(sender_host(
                     &config,
                     dep.tree_id(0),
                     vec![
@@ -929,7 +929,7 @@ mod tests {
         for slot in 0..plan.len() {
             use daiet_netsim::topology::Role;
             let id = match plan.role(slot) {
-                Role::Host if slot < 2 => sim.add_node(Box::new(SenderHost::new(
+                Role::Host if slot < 2 => sim.add_node(Box::new(sender_host(
                     &config,
                     dep.tree_id(0),
                     vec![Pair::new(key("x"), 1)],

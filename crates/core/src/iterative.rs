@@ -185,8 +185,7 @@ impl IterativeRunner {
             let id = match spec.plan.role(slot) {
                 Role::Host => {
                     if spec.senders.contains(&slot) {
-                        let mut node =
-                            PacedSenderNode::new(Vec::new(), spec.pacing, "iter-sender");
+                        let mut node = PacedSenderNode::new(spec.pacing, "iter-sender");
                         if spec.config.nack_recovery {
                             node.arm_replay();
                         }
@@ -270,36 +269,27 @@ impl IterativeRunner {
             }
             let slot = self.spec.senders[i];
             let id = self.ids[slot];
-            // Preloaded frames come from the pool of the partition that
-            // owns this sender (pools are `Rc`-backed, partition-local).
-            let pool = self.sim.pool_for(id).clone();
+            let dep = &self.deployment;
             let parts: Vec<(u16, Endpoints, &[Pair])> = sender_shards
                 .iter()
                 .enumerate()
-                .map(|(r, pairs)| {
-                    (
-                        self.deployment.tree_id(r),
-                        self.deployment.endpoints(slot, r),
-                        pairs.as_slice(),
-                    )
-                })
+                .map(|(r, pairs)| (dep.tree_id(r), dep.endpoints(slot, r), pairs.as_slice()))
                 .collect();
             // The interleave offset rotates with the round so no tree is
             // permanently first in every sender's transmit order.
             let offset = i.wrapping_add(self.round as usize);
-            let (transmit, replay_parts) = plan_round(
+            let round = plan_round(
                 &self.spec.config,
                 &parts,
                 &mut self.next_seq[i],
                 offset,
                 self.spec.redundancy,
-                &pool,
             );
             let node = self
                 .sim
                 .node_mut::<PacedSenderNode>(id)
                 .expect("sender slots hold PacedSenderNodes");
-            node.enqueue_round(transmit, replay_parts);
+            node.enqueue_round(round);
             // Restart the pacing chain (it ran dry at the last barrier).
             let at = self.sim.now() + self.spec.pacing;
             self.sim.schedule_timer(at, id, 0);

@@ -36,6 +36,7 @@ use daiet_fabric::{Duration, FaultShim, FramePool, Node, NodeSpec, Time};
 use daiet_netsim::topology::TopologyPlan;
 use daiet_wire::daiet::{Key, Pair};
 use std::any::Any;
+use std::sync::Arc;
 
 /// The wall-clock NACK timeout floor: 3 ms. Large against loopback RTTs
 /// (microseconds) and driver-thread scheduling jitter (up to a
@@ -163,18 +164,18 @@ impl LoopbackJob {
         assert_eq!(shards.len(), self.placement.reducers.len(), "one shard per reducer");
         let slot = self.placement.mappers[m];
         let config = self.controller.config;
-        let parts: Vec<(u16, daiet_wire::stack::Endpoints, Vec<Pair>)> = shards
+        let parts: Vec<(u16, daiet_wire::stack::Endpoints, Arc<[Pair]>)> = shards
             .into_iter()
             .enumerate()
             .map(|(r, pairs)| {
-                (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), pairs)
+                (self.deployment.tree_id(r), self.deployment.endpoints(slot, r), pairs.into())
             })
             .collect();
         NodeSpec {
             build: Box::new(move || {
-                // Frames are preloaded from a thread-local pool; the
-                // driver copies bytes at the socket edge, so the pool
-                // never crosses the thread.
+                // Frames are built from the driver thread's own pool as
+                // they are sent; the driver copies bytes at the socket
+                // edge, so no pool crosses a thread.
                 let pool = FramePool::new();
                 Box::new(multi_tree_sender(
                     &config,

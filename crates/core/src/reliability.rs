@@ -23,7 +23,7 @@
 //!    query coordinator watching its last hop — tracks per-flow sequence
 //!    gaps, and after a configurable idle timeout sends a NACK frame
 //!    naming the missing [`NackRange`]s (plus a *tail* request covering a
-//!    possibly-lost END). Hosts replay from their full transmit schedule;
+//!    possibly-lost END). Hosts rebuild replays from the round's pairs;
 //!    switches replay recently flushed aggregates from a bounded,
 //!    SRAM-accounted [`RetransmitRing`]. Replays are made idempotent by
 //!    the dedup windows, so recovery composes with (and subsumes)

@@ -265,8 +265,7 @@ impl JobScheduler {
             let id = match spec.plan.role(slot) {
                 Role::Host => {
                     if spec.sender_slots.contains(&slot) {
-                        let mut node =
-                            PacedSenderNode::new(Vec::new(), spec.pacing, "tenant-sender");
+                        let mut node = PacedSenderNode::new(spec.pacing, "tenant-sender");
                         if spec.config.nack_recovery {
                             node.arm_replay();
                         }
@@ -424,6 +423,7 @@ impl JobScheduler {
                 .map(|(child, _)| (tree.tree_id, child as u32))
                 .collect();
             reducer.reroster(slot as u32, &config, sources, tree.reducer_children);
+            reducer.lease(vec![tree.tree_id]);
         }
         for &slot in &sender_slots {
             let id = self.ids[slot];
@@ -694,6 +694,7 @@ impl JobScheduler {
                 .expect("reducer pool slots hold ReducerHosts");
             let _ = reducer.take_round();
             reducer.collector.set_expected_ends(0);
+            reducer.lease(Vec::new());
         }
         self.free_senders.extend(&st.sender_slots);
         self.free_senders.sort_unstable();
@@ -735,29 +736,24 @@ impl JobScheduler {
             }
             let slot = st.sender_slots[i];
             let id = self.ids[slot];
-            let pool = self.sim.pool_for(id).clone();
             let parts: Vec<(u16, Endpoints, &[Pair])> = sender_shards
                 .iter()
                 .enumerate()
                 .map(|(t, pairs)| {
                     let tree = &st.trees[t];
-                    (
-                        tree.tree_id,
-                        Endpoints::from_ids(slot as u32, tree.reducer as u32),
-                        pairs.as_slice(),
-                    )
+                    let ep = Endpoints::from_ids(slot as u32, tree.reducer as u32);
+                    (tree.tree_id, ep, pairs.as_slice())
                 })
                 .collect();
             // Rotate the interleave offset with the round so no tree is
             // permanently first in this sender's transmit order.
             let offset = i.wrapping_add(st.round as usize);
-            let (transmit, replay_parts) =
-                plan_round(&config, &parts, &mut st.next_seq[i], offset, 1, &pool);
+            let round = plan_round(&config, &parts, &mut st.next_seq[i], offset, 1);
             let node = self
                 .sim
                 .node_mut::<PacedSenderNode>(id)
                 .expect("sender pool slots hold PacedSenderNodes");
-            node.enqueue_round(transmit, replay_parts);
+            node.enqueue_round(round);
             let at = self.sim.now() + pacing;
             self.sim.schedule_timer(at, id, 0);
         }

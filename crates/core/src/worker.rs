@@ -9,6 +9,12 @@
 //! splits a pair. "Finally, the end of the transmission is marked by a
 //! special END packet." On the receive side, "the intermediate results
 //! must be sorted at the reducer rather than at the mapper".
+//!
+//! Senders follow the same idea on the transmit side: a round is planned
+//! as per-tree pair slices ([`plan_round`]) and each frame is serialized
+//! at the pacing tick that sends it. Nothing is built before a job
+//! starts, and NACK replay rebuilds a frame from its slice instead of
+//! keeping it.
 
 use crate::agg::AggFn;
 use crate::config::DaietConfig;
@@ -18,18 +24,14 @@ use daiet_fabric::{Duration, Fabric, Frame, FramePool, Node, PortId, Time};
 use daiet_wire::daiet::{self, Header, Key, NackRange, PacketFlags, PacketType, Pair, Repr};
 use daiet_wire::fnv::FnvHashMap;
 use daiet_wire::stack::{build_daiet_into, Endpoints};
-
-/// Parser settings for an end host NIC stack: checksums verified, but no
-/// parse-depth limit (hosts are CPUs, not line-rate parsers). Shared by
-/// every host-side receiver ([`ReducerHost`] here, the querysim
-/// coordinator, …) so host parsing semantics cannot diverge.
-pub fn host_parser_config() -> ParserConfig {
-    ParserConfig { max_parse_bytes: usize::MAX, verify_checksums: true }
-}
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// The host receive prologue shared by every DAIET receiver
-/// ([`ReducerHost`], the querysim coordinator): parse with host settings
-/// (checksum failures and non-DAIET noise dropped, as a NIC would) and
+/// ([`ReducerHost`], the querysim coordinator), so host parsing cannot
+/// diverge: parse with checksums verified but no parse-depth limit
+/// (hosts are CPUs, not line-rate parsers; checksum failures and
+/// non-DAIET noise dropped, as a NIC would) and
 /// extract the preamble plus the sender address. `None` means "ignore
 /// this frame"; otherwise the caller applies its own admission (dedup
 /// windows, tree demux — *in its own order*: a coordinator discards
@@ -37,92 +39,63 @@ pub fn host_parser_config() -> ParserConfig {
 /// entries via
 /// [`ParsedPacket::daiet_pairs`](daiet_dataplane::parser::ParsedPacket::daiet_pairs).
 pub fn receive_daiet(frame: Frame) -> Option<(Header, daiet_wire::Ipv4Address, ParsedPacket)> {
-    let parsed = parse(frame, &host_parser_config()).ok()?;
+    let host = ParserConfig { max_parse_bytes: usize::MAX, verify_checksums: true };
+    let parsed = parse(frame, &host).ok()?;
     let hdr = parsed.daiet?;
     let src = parsed.ip.as_ref()?.src_addr;
     Some((hdr, src, parsed))
 }
 
-/// Builds the standard multi-tree UDP sender: packetize each partition
-/// (`(tree, endpoints, pairs)`), interleave round-robin at a
-/// sender-specific offset, expand `k`-redundantly (`redundancy = 1` for
-/// none), and replay paced — the one construction behind every bulk
-/// sender (the MapReduce mappers, the querysim workers).
-pub fn multi_tree_sender(
+/// Builds the standard one-shot sender (the MapReduce mappers, the
+/// querysim workers): one [`plan_round`] of `partitions` from sequence
+/// 0, paced and replay-armed per `config`. Frames are built from the
+/// transmitting fabric's pool when sent, so `_pool` goes unused.
+pub fn multi_tree_sender<P: Clone + Into<Arc<[Pair]>>>(
     config: &DaietConfig,
     sender_index: usize,
-    partitions: &[(u16, Endpoints, Vec<Pair>)],
+    partitions: &[(u16, Endpoints, P)],
     redundancy: u32,
     gap: Duration,
-    pool: &FramePool,
+    _pool: &FramePool,
     label: &'static str,
 ) -> PacedSenderNode {
-    // A one-shot sender is a one-round iterative sender: every tree's
-    // sequence space starts at 0 and there is no next round.
-    let mut next_seq = FnvHashMap::default();
-    let (transmit, replay_parts) =
-        plan_round(config, partitions, &mut next_seq, sender_index, redundancy, pool);
-    let node = PacedSenderNode::new(transmit, gap, label);
+    let mut node = PacedSenderNode::new(gap, label);
     if config.nack_recovery {
-        let store: FnvHashMap<u16, Vec<Frame>> =
-            replay_parts.into_iter().map(|(tree, _base, frames)| (tree, frames)).collect();
-        node.with_replay(store)
-    } else {
-        node
+        node.arm_replay();
     }
+    let mut next_seq = FnvHashMap::default();
+    node.enqueue_round(plan_round(config, partitions, &mut next_seq, sender_index, redundancy));
+    node
 }
 
-/// Per-tree replay retention out of [`plan_round`]: one
-/// `(tree, base_seq, frames)` entry per part, in part order.
-pub type ReplayParts = Vec<(u16, u32, Vec<Frame>)>;
-
-/// Packetizes one round of multi-tree output into a transmit schedule —
-/// the one planning routine behind every bulk sender (the MapReduce
-/// mappers, the querysim workers, each [`IterativeRunner`] round).
+/// Plans one round of multi-tree output — the one planning routine
+/// behind every bulk sender (the MapReduce mappers, the querysim
+/// workers, each [`IterativeRunner`] round).
 ///
-/// Per `(tree, endpoints, pairs)` part, the pairs are serialized
-/// continuing that tree's wrapping sequence space from `next_seq`
-/// (updated in place to the next free number); the per-tree queues are
-/// then interleaved round-robin starting at `offset % parts` (fairness:
-/// callers rotate the offset so no tree is permanently drained first)
-/// and expanded `redundancy`-fold (1 = none).
-///
-/// When `config.nack_recovery` is on, the per-tree schedules also come
-/// back as `(tree, base_seq, frames)` replay parts for
-/// [`PacedSenderNode::enqueue_round`] (or, via [`multi_tree_sender`],
-/// [`PacedSenderNode::with_replay`]). Replay frames share buffers with
-/// the transmit queue — retention costs refcounts, not copies.
-pub fn plan_round<P: AsRef<[Pair]>>(
+/// Each `(tree, endpoints, pairs)` part continues that tree's wrapping
+/// sequence space from `next_seq` (updated in place to the next free
+/// number). The round is sent round-robin over the parts starting at
+/// `offset % parts` (fairness: callers rotate the offset so no tree is
+/// permanently drained first), each frame `redundancy` times (1 = once).
+/// The pairs are shared, not copied, when `P` is already an `Arc<[Pair]>`.
+pub fn plan_round<P: Clone + Into<Arc<[Pair]>>>(
     config: &DaietConfig,
     parts: &[(u16, Endpoints, P)],
     next_seq: &mut FnvHashMap<u16, u32>,
     offset: usize,
     redundancy: u32,
-    pool: &FramePool,
-) -> (Vec<Frame>, ReplayParts) {
+) -> RoundPlan {
     let packetizer = Packetizer::new(config);
-    let mut queues = Vec::with_capacity(parts.len());
-    let mut replay_parts = Vec::new();
-    for (tree, ep, pairs) in parts {
-        let base = next_seq.get(tree).copied().unwrap_or(0);
-        let (frames, next) = packetizer.frames_from_seq(
-            *tree,
-            pairs.as_ref(),
-            ep,
-            daiet_wire::udp::DAIET_PORT,
-            base,
-            pool,
-        );
-        next_seq.insert(*tree, next);
-        if config.nack_recovery {
-            replay_parts.push((*tree, base, frames.clone()));
-        }
-        queues.push(frames);
-    }
-    let interleaved = interleave_round_robin(queues, offset);
-    let transmit =
-        crate::reliability::RedundantSender::new(redundancy.max(1)).schedule(&interleaved);
-    (transmit, replay_parts)
+    let flows = parts
+        .iter()
+        .map(|(tree, endpoints, pairs)| {
+            let pairs: Arc<[Pair]> = pairs.clone().into();
+            let base = next_seq.get(tree).copied().unwrap_or(0);
+            next_seq.insert(*tree, base.wrapping_add(packetizer.packet_count(pairs.len())));
+            Flow { tree: *tree, endpoints: *endpoints, base, pairs, packetizer }
+        })
+        .collect();
+    RoundPlan { flows, offset, redundancy: redundancy.max(1) }
 }
 
 /// Builds the standard DAIET receive endpoint for reducer `r` of `dep`
@@ -149,7 +122,7 @@ pub fn reducer_host(
 }
 
 /// Splits a partition of pairs into DAIET packets.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Packetizer {
     pairs_per_packet: usize,
 }
@@ -168,27 +141,34 @@ impl Packetizer {
         self.packets_from_seq(tree_id, pairs, 0).0
     }
 
-    /// The packetization policy, in one place: calls `f` once per packet
-    /// with its preamble and entry slice (empty for the trailing END),
-    /// numbering sequence from `start_seq`; returns the next free
-    /// sequence number. Both the owned-[`Repr`] and the pooled-frame
-    /// paths drive this, so they cannot drift apart. Sequence numbers
-    /// live in a wrapping 32-bit space (long-lived iterative senders
-    /// cross `u32::MAX`; the dedup windows compare RFC 1982-style).
-    fn each_packet(
+    /// Packets `pairs` make: one DATA per `pairs_per_packet` entries,
+    /// then the END.
+    pub fn packet_count(&self, pairs: usize) -> u32 {
+        pairs.div_ceil(self.pairs_per_packet) as u32 + 1
+    }
+
+    /// The packetization policy, in one place: packet `i` of `pairs`
+    /// numbered from `start_seq`, as its preamble and entry slice (empty
+    /// for the trailing END). Both the owned-[`Repr`] path and the
+    /// senders' frame builds use it, so they cannot drift apart.
+    /// Sequence numbers live in a wrapping 32-bit space (long-lived
+    /// iterative senders cross `u32::MAX`; the dedup windows compare
+    /// RFC 1982-style).
+    fn packet<'a>(
         &self,
         tree_id: u16,
-        pairs: &[Pair],
+        pairs: &'a [Pair],
         start_seq: u32,
-        mut f: impl FnMut(&Header, &[Pair]),
-    ) -> u32 {
-        let mut seq = start_seq;
-        for chunk in pairs.chunks(self.pairs_per_packet) {
-            f(&Header::data(tree_id, PacketFlags::empty(), seq), chunk);
-            seq = seq.wrapping_add(1);
+        i: u32,
+    ) -> (Header, &'a [Pair]) {
+        let seq = start_seq.wrapping_add(i);
+        let start = i as usize * self.pairs_per_packet;
+        if start < pairs.len() {
+            let end = pairs.len().min(start + self.pairs_per_packet);
+            (Header::data(tree_id, PacketFlags::empty(), seq), &pairs[start..end])
+        } else {
+            (Header::end(tree_id, PacketFlags::empty(), seq), &[])
         }
-        f(&Header::end(tree_id, PacketFlags::empty(), seq), &[]);
-        seq.wrapping_add(1)
     }
 
     /// Like [`Packetizer::packets`] but numbering from `start_seq`,
@@ -201,113 +181,152 @@ impl Packetizer {
         pairs: &[Pair],
         start_seq: u32,
     ) -> (Vec<Repr>, u32) {
-        let mut out = Vec::with_capacity(pairs.len().div_ceil(self.pairs_per_packet) + 1);
-        let next = self.each_packet(tree_id, pairs, start_seq, |hdr, chunk| {
-            out.push(Repr {
-                packet_type: hdr.packet_type,
-                tree_id: hdr.tree_id,
-                flags: hdr.flags,
-                seq: hdr.seq,
-                entries: chunk.to_vec(),
-            });
-        });
-        (out, next)
-    }
-
-    /// Like [`Packetizer::packets`] but fully framed for the wire, with
-    /// every frame serialized straight into a pooled buffer — the
-    /// zero-copy path senders use (no intermediate `Repr`s or entry
-    /// lists).
-    pub fn frames(
-        &self,
-        tree_id: u16,
-        pairs: &[Pair],
-        endpoints: &Endpoints,
-        src_port: u16,
-        pool: &FramePool,
-    ) -> Vec<Frame> {
-        self.frames_from_seq(tree_id, pairs, endpoints, src_port, 0, pool).0
-    }
-
-    /// Like [`Packetizer::frames`] but numbering from `start_seq`,
-    /// returning the next free sequence number — the iterative-sender
-    /// form: each round's frames continue the tree's wrapping sequence
-    /// space so receiver-side dedup and gap tracking stay sound across
-    /// rounds (a restart from 0 would read as a giant stale duplicate).
-    pub fn frames_from_seq(
-        &self,
-        tree_id: u16,
-        pairs: &[Pair],
-        endpoints: &Endpoints,
-        src_port: u16,
-        start_seq: u32,
-        pool: &FramePool,
-    ) -> (Vec<Frame>, u32) {
-        let mut out = Vec::with_capacity(pairs.len().div_ceil(self.pairs_per_packet) + 1);
-        let next = self.each_packet(tree_id, pairs, start_seq, |hdr, chunk| {
-            let mut buf = pool.buffer();
-            build_daiet_into(&mut buf, endpoints, src_port, hdr, chunk);
-            out.push(pool.frame(buf));
-        });
-        (out, next)
+        let count = self.packet_count(pairs.len());
+        let out = (0..count)
+            .map(|i| {
+                let (hdr, chunk) = self.packet(tree_id, pairs, start_seq, i);
+                Repr {
+                    packet_type: hdr.packet_type,
+                    tree_id: hdr.tree_id,
+                    flags: hdr.flags,
+                    seq: hdr.seq,
+                    entries: chunk.to_vec(),
+                }
+            })
+            .collect();
+        (out, start_seq.wrapping_add(count))
     }
 }
 
-/// Interleaves per-tree frame queues round-robin starting at queue
-/// `offset` (each queue's internal order is preserved, so every END still
-/// trails its tree's data) — the shared transmit-scheduling policy of
-/// every multi-tree sender. Starting different senders at different
-/// offsets spreads the fan-in to any one reducer over time.
-pub fn interleave_round_robin(mut queues: Vec<Vec<Frame>>, offset: usize) -> Vec<Frame> {
-    let mut out = Vec::new();
-    if queues.is_empty() {
-        return out;
-    }
-    let n = queues.len();
-    let mut cursors = vec![0usize; n];
-    let mut remaining: usize = queues.iter().map(Vec::len).sum();
-    out.reserve(remaining);
-    let mut t = offset % n;
-    while remaining > 0 {
-        if cursors[t] < queues[t].len() {
-            out.push(std::mem::take(&mut queues[t][cursors[t]]));
-            cursors[t] += 1;
-            remaining -= 1;
-        }
-        t = (t + 1) % n;
-    }
-    out
-}
-
-/// One tree's NACK-replay retention on a host: frames indexed densely by
-/// sequence number starting at `base`. Rounds append at the tail
-/// ([`PacedSenderNode::enqueue_round`]) and round barriers retire from
-/// the head ([`PacedSenderNode::retire_round`]), so an iterative sender
-/// retains O(one round) of frames instead of its whole history.
-#[derive(Debug, Default)]
-struct ReplaySchedule {
-    /// Sequence number of `frames[0]` (wrapping space).
+/// One tree's share of one round: `pairs` cut into packets, packet `i`
+/// numbered `base + i`, the END last. Packet `i` is always the same
+/// chunk of the same slice, so its frame can be rebuilt byte for byte
+/// whenever it is needed again.
+#[derive(Debug, Clone)]
+struct Flow {
+    tree: u16,
+    endpoints: Endpoints,
     base: u32,
-    frames: std::collections::VecDeque<Frame>,
+    pairs: Arc<[Pair]>,
+    packetizer: Packetizer,
 }
 
-/// A host that replays a prebuilt frame schedule at a fixed pace: one
-/// frame per `gap` tick, starting at simulation start. The transmit half
-/// shared by every bulk UDP sender (the MapReduce mappers, the querysim
-/// workers) — build the schedule up front (packetize, interleave,
-/// optionally expand redundantly), then hand it here. Iterative senders
-/// instead start empty and feed one round at a time through
-/// [`enqueue_round`](Self::enqueue_round) (see
-/// [`IterativeRunner`], which also restarts the pacing timer from
-/// outside, via the backend's own timer facility).
+impl Flow {
+    fn packets(&self) -> u32 {
+        self.packetizer.packet_count(self.pairs.len())
+    }
+
+    /// Serializes packet `i` into a buffer from `pool`.
+    fn frame(&self, i: u32, pool: &FramePool) -> Frame {
+        let (hdr, chunk) = self.packetizer.packet(self.tree, &self.pairs, self.base, i);
+        let mut buf = pool.buffer();
+        build_daiet_into(&mut buf, &self.endpoints, daiet_wire::udp::DAIET_PORT, &hdr, chunk);
+        pool.frame(buf)
+    }
+}
+
+/// One round of a multi-tree sender, planned but not built: per-tree pair
+/// slices with their sequence bases, the round-robin start and the copies
+/// of each frame. Made by [`plan_round`], sent by a [`PacedSenderNode`].
+#[derive(Debug)]
+pub struct RoundPlan {
+    flows: Vec<Flow>,
+    offset: usize,
+    redundancy: u32,
+}
+
+/// A round being transmitted: flows are visited round-robin (each keeps
+/// its own order, so every END still trails its tree's data), and the
+/// last frame built is repeated until `redundancy` copies went out.
+struct Transmit {
+    plan: RoundPlan,
+    /// Packets of each flow built so far.
+    built: Vec<u32>,
+    /// The flow the round-robin visits next.
+    turn: usize,
+    /// The last frame built, with the copies of it already sent.
+    last: Option<(Frame, u32)>,
+    /// Frames still to send, copies included.
+    left: usize,
+}
+
+impl Transmit {
+    fn new(plan: RoundPlan) -> Transmit {
+        let n = plan.flows.len();
+        let packets: usize = plan.flows.iter().map(|f| f.packets() as usize).sum();
+        Transmit {
+            built: vec![0; n],
+            turn: plan.offset % n.max(1),
+            last: None,
+            left: packets * plan.redundancy as usize,
+            plan,
+        }
+    }
+
+    fn next(&mut self, pool: &FramePool) -> Option<Frame> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        if let Some((frame, sent)) = self.last.as_mut() {
+            if *sent < self.plan.redundancy {
+                *sent += 1;
+                return Some(frame.clone());
+            }
+        }
+        let n = self.plan.flows.len();
+        for _ in 0..n {
+            let t = self.turn;
+            self.turn = (t + 1) % n;
+            let flow = &self.plan.flows[t];
+            if self.built[t] < flow.packets() {
+                let frame = flow.frame(self.built[t], pool);
+                self.built[t] += 1;
+                if self.plan.redundancy > 1 {
+                    self.last = Some((frame.clone(), 1));
+                }
+                return Some(frame);
+            }
+        }
+        None
+    }
+}
+
+/// An entry of a sender's transmit queue.
+enum Pending {
+    /// A round, built into frames one pacing tick at a time.
+    Round(Transmit),
+    /// A NACK replay queued behind the backed-off pacing gap.
+    Replay(Frame),
+}
+
+/// One tree's NACK-replay retention for one round: the round's flow,
+/// minus the packets below `first`, which round barriers retired.
+struct Retained {
+    flow: Flow,
+    first: u32,
+}
+
+/// A host that sends planned rounds at a fixed pace: one frame per `gap`
+/// tick, built from the round's pair slices when it is sent. The
+/// transmit half shared by every bulk UDP sender: one-shot senders
+/// ([`multi_tree_sender`]: the MapReduce mappers, the querysim workers)
+/// get one round before the run starts; iterative senders start empty
+/// and get one round at a time through
+/// [`enqueue_round`](Self::enqueue_round) (see [`IterativeRunner`],
+/// which also restarts the pacing timer from outside, via the backend's
+/// own timer facility).
+///
+/// With replay armed, the sender keeps each round's pair slices per
+/// tree, not its frames: a NACKed sequence number names one chunk of
+/// one slice, and the replay rebuilds exactly the bytes first sent.
 pub struct PacedSenderNode {
-    frames: Vec<Frame>,
-    next: usize,
+    queue: VecDeque<Pending>,
     gap: Duration,
     label: &'static str,
-    /// Per-tree replay retention (None when recovery is off — then
-    /// incoming frames are ignored, as before).
-    replay: Option<FnvHashMap<u16, ReplaySchedule>>,
+    /// Per-tree replay retention, oldest round first (None when recovery
+    /// is off — then incoming frames are ignored, as before).
+    replay: Option<FnvHashMap<u16, VecDeque<Retained>>>,
     /// Straggler throttle: the pacing gap is multiplied by this factor
     /// (1 = full speed). Scripted by chaos harnesses to model a slow
     /// worker without changing its transmit schedule.
@@ -338,12 +357,11 @@ pub struct PacedSenderNode {
 }
 
 impl PacedSenderNode {
-    /// A sender that transmits `frames` in order, one every `gap`;
-    /// `label` names the node in traces.
-    pub fn new(frames: Vec<Frame>, gap: Duration, label: &'static str) -> PacedSenderNode {
+    /// An idle sender that will send one frame every `gap` once rounds
+    /// are enqueued; `label` names the node in traces.
+    pub fn new(gap: Duration, label: &'static str) -> PacedSenderNode {
         PacedSenderNode {
-            frames,
-            next: 0,
+            queue: VecDeque::new(),
             gap,
             label,
             replay: None,
@@ -374,11 +392,6 @@ impl PacedSenderNode {
         self.slowdown = factor.max(1);
     }
 
-    /// The current straggler throttle factor.
-    pub fn slowdown(&self) -> u32 {
-        self.slowdown
-    }
-
     /// Makes NACKs double the pacing gap (capped at 64×) until the next
     /// round barrier — a minimal closed-loop response to queue-buildup
     /// loss, off by default to keep the paper's open-loop sender.
@@ -391,75 +404,53 @@ impl PacedSenderNode {
         self.backoff
     }
 
-    /// Arms NACK replay: `per_tree[tree][seq]` must be the frame the
-    /// sender transmitted (or will transmit) with that sequence number,
-    /// counting from 0.
-    pub fn with_replay(mut self, per_tree: FnvHashMap<u16, Vec<Frame>>) -> PacedSenderNode {
-        self.replay = Some(
-            per_tree
-                .into_iter()
-                .map(|(tree, frames)| (tree, ReplaySchedule { base: 0, frames: frames.into() }))
-                .collect(),
-        );
-        self
-    }
-
-    /// Arms NACK replay with empty retention — the iterative form, filled
-    /// round by round via [`enqueue_round`](Self::enqueue_round).
+    /// Arms NACK replay: from now on every enqueued round is retained
+    /// per tree until a round barrier retires it.
     pub fn arm_replay(&mut self) {
         self.replay.get_or_insert_with(FnvHashMap::default);
     }
 
-    /// Appends one round's transmit schedule (already interleaved and, if
-    /// requested, redundancy-expanded) plus its per-tree replay retention:
-    /// each `(tree, base_seq, frames)` must continue the tree's dense
-    /// sequence numbering where the previous round left off.
-    pub fn enqueue_round(
-        &mut self,
-        transmit: Vec<Frame>,
-        replay_parts: Vec<(u16, u32, Vec<Frame>)>,
-    ) {
+    /// Appends one planned round to the transmit queue and, with replay
+    /// armed, to each tree's retention. The round must continue each
+    /// tree's sequence numbering where the previous round left off
+    /// ([`plan_round`] does, given the same `next_seq` map).
+    pub fn enqueue_round(&mut self, round: RoundPlan) {
         // The caller restarts the pacing chain for this round (see
         // `IterativeRunner::run_round`); record that so paced replays
         // don't double-arm it.
         self.timer_armed = true;
-        self.frames.extend(transmit);
         if let Some(store) = self.replay.as_mut() {
-            for (tree, base, frames) in replay_parts {
-                let sched = store.entry(tree).or_insert(ReplaySchedule {
-                    base,
-                    frames: std::collections::VecDeque::new(),
-                });
-                debug_assert_eq!(
-                    sched.base.wrapping_add(sched.frames.len() as u32),
-                    base,
-                    "replay retention must stay sequence-dense across rounds"
-                );
-                sched.frames.extend(frames);
+            for flow in &round.flows {
+                let retained = Retained { flow: flow.clone(), first: 0 };
+                store.entry(flow.tree).or_default().push_back(retained);
             }
         }
+        self.queue.push_back(Pending::Round(Transmit::new(round)));
     }
 
-    /// Round-barrier cleanup: drops the already-transmitted prefix of the
-    /// pacing queue and retires replay retention serially before each
-    /// tree's `cutoff` sequence number. Called once the round is known
-    /// complete end-to-end (every receiver satisfied), so nothing below
-    /// the cutoff can ever be NACKed again — this is what keeps a
-    /// hundreds-of-rounds run's memory bounded at O(one round).
+    /// Round-barrier cleanup: retires replay retention serially before
+    /// each tree's `cutoff` sequence number and lifts the congestion
+    /// backoff. Called once the round is known complete end-to-end
+    /// (every receiver satisfied), so nothing below the cutoff can ever
+    /// be NACKed again — this is what keeps a hundreds-of-rounds run's
+    /// memory bounded at O(one round).
     pub fn retire_round(&mut self, cutoffs: &[(u16, u32)]) {
-        self.frames.drain(..self.next);
-        self.next = 0;
         // The round completed: whatever congestion triggered the backoff
         // has drained with it.
         self.backoff = 1;
-        if let Some(store) = self.replay.as_mut() {
-            for &(tree, cutoff) in cutoffs {
-                if let Some(sched) = store.get_mut(&tree) {
-                    while !sched.frames.is_empty() && seq_after(cutoff, sched.base) {
-                        sched.frames.pop_front();
-                        sched.base = sched.base.wrapping_add(1);
-                        self.frames_retired += 1;
-                    }
+        let Some(store) = self.replay.as_mut() else { return };
+        for &(tree, cutoff) in cutoffs {
+            let Some(rounds) = store.get_mut(&tree) else { continue };
+            while let Some(r) = rounds.front_mut() {
+                let next = r.flow.base.wrapping_add(r.first);
+                if !seq_after(cutoff, next) {
+                    break;
+                }
+                let n = cutoff.wrapping_sub(next).min(r.flow.packets() - r.first);
+                r.first += n;
+                self.frames_retired += u64::from(n);
+                if r.first == r.flow.packets() {
+                    rounds.pop_front();
                 }
             }
         }
@@ -472,8 +463,7 @@ impl PacedSenderNode {
     /// receiver rosters). Only sound at a round barrier, when nothing is
     /// in flight.
     pub fn reset_epoch(&mut self) {
-        self.frames.clear();
-        self.next = 0;
+        self.queue.clear();
         self.backoff = 1;
         if let Some(store) = self.replay.as_mut() {
             store.clear();
@@ -482,14 +472,43 @@ impl PacedSenderNode {
 
     /// Frames queued but not yet transmitted.
     pub fn pending(&self) -> usize {
-        self.frames.len() - self.next
+        self.queue
+            .iter()
+            .map(|p| match p {
+                Pending::Round(t) => t.left,
+                Pending::Replay(_) => 1,
+            })
+            .sum()
     }
 
     /// Frames currently held for NACK replay, across all trees.
     pub fn replay_retained(&self) -> usize {
-        self.replay
-            .as_ref()
-            .map_or(0, |s| s.values().map(|sched| sched.frames.len()).sum())
+        self.replay.as_ref().map_or(0, |s| {
+            s.values().flatten().map(|r| (r.flow.packets() - r.first) as usize).sum()
+        })
+    }
+
+    /// The next frame to transmit, built from `pool`; a spent round
+    /// leaves the queue with its last frame.
+    fn next_frame(&mut self, pool: &FramePool) -> Option<Frame> {
+        loop {
+            match self.queue.front_mut()? {
+                Pending::Round(t) => {
+                    let frame = t.next(pool);
+                    if t.left == 0 {
+                        self.queue.pop_front();
+                    }
+                    if frame.is_some() {
+                        return frame;
+                    }
+                }
+                Pending::Replay(_) => {
+                    if let Some(Pending::Replay(f)) = self.queue.pop_front() {
+                        return Some(f);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -501,7 +520,7 @@ impl Node for PacedSenderNode {
         if hdr.packet_type != PacketType::Nack {
             return;
         }
-        let Some(schedule) = store.get(&hdr.tree_id) else { return };
+        let Some(rounds) = store.get(&hdr.tree_id) else { return };
         self.nacks_received += 1;
         if self.nack_backoff {
             // A NACK means the path lost something — most often queue
@@ -513,48 +532,50 @@ impl Node for PacedSenderNode {
         let tail = hdr.flags.contains(PacketFlags::NACK_TAIL);
         let ranges: Vec<NackRange> =
             parsed.daiet_pairs().filter_map(|p| NackRange::from_pair(&p)).collect();
-        // Retention is dense: frame `i` carries seq `base + i`. Replay in
-        // original order; receiver dedup absorbs anything it already has.
-        // The open-loop sender bursts replays past the pacing gap
-        // (recovery is latency-critical and the burst is at most one
-        // retained round); the closed-loop sender queues them behind the
-        // backed-off gap instead — the loss it is repairing is usually
-        // its own queue overflow, and a burst would recreate it.
-        let mut queued = Vec::new();
-        for (i, f) in schedule.frames.iter().enumerate() {
-            let seq = schedule.base.wrapping_add(i as u32);
-            if ranges.iter().any(|r| r.contains(seq)) || (tail && seq_at_or_after(seq, hdr.seq))
-            {
-                if self.nack_backoff {
-                    queued.push(f.clone());
-                } else {
-                    ctx.send(PortId(0), f.clone());
+        // Retention is dense: packet `i` of a retained round carries seq
+        // `base + i`. Replay in original order; receiver dedup absorbs
+        // anything it already has. The open-loop sender bursts replays
+        // past the pacing gap (recovery is latency-critical and the
+        // burst is at most one retained round); the closed-loop sender
+        // queues them behind the backed-off gap instead — the loss it is
+        // repairing is usually its own queue overflow, and a burst would
+        // recreate it.
+        let mut queued = false;
+        for r in rounds {
+            for i in r.first..r.flow.packets() {
+                let seq = r.flow.base.wrapping_add(i);
+                if ranges.iter().any(|nr| nr.contains(seq))
+                    || (tail && seq_at_or_after(seq, hdr.seq))
+                {
+                    let f = r.flow.frame(i, ctx.pool());
+                    if self.nack_backoff {
+                        self.queue.push_back(Pending::Replay(f));
+                        queued = true;
+                    } else {
+                        ctx.send(PortId(0), f);
+                    }
+                    self.frames_replayed += 1;
                 }
-                self.frames_replayed += 1;
             }
         }
-        if !queued.is_empty() {
-            self.frames.extend(queued);
-            if !self.timer_armed {
-                self.timer_armed = true;
-                ctx.schedule(self.effective_gap(), 0);
-            }
+        if queued && !self.timer_armed {
+            self.timer_armed = true;
+            ctx.schedule(self.effective_gap(), 0);
         }
     }
 
     fn on_start(&mut self, ctx: &mut dyn Fabric) {
         // Iterative senders start with an empty queue; their harness arms
         // the pacing timer itself when it enqueues the first round.
-        if !self.frames.is_empty() {
+        if self.pending() > 0 {
             self.timer_armed = true;
             ctx.schedule(self.effective_gap(), 0);
         }
     }
 
     fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
-        if self.next < self.frames.len() {
-            ctx.send(PortId(0), self.frames[self.next].clone());
-            self.next += 1;
+        if let Some(frame) = self.next_frame(ctx.pool()) {
+            ctx.send(PortId(0), frame);
             ctx.schedule(self.effective_gap(), 0);
         } else {
             self.timer_armed = false;
@@ -754,66 +775,19 @@ impl Collector {
     }
 }
 
-/// A minimal sending host: transmits one preloaded partition at start
-/// (used by examples and integration tests; the MapReduce crate has a
-/// richer worker).
-pub struct SenderHost {
+/// A minimal sending host: one tree's pairs, sent one frame every
+/// microsecond from simulation start, with no NACK replay — used by
+/// examples and integration tests.
+pub fn sender_host(
+    config: &DaietConfig,
     tree_id: u16,
     pairs: Vec<Pair>,
     endpoints: Endpoints,
-    packetizer: Packetizer,
-    /// Pace between frames (keeps egress queues shallow in examples).
-    pub gap: Duration,
-    queue: Vec<Frame>,
-    next: usize,
-}
-
-impl SenderHost {
-    /// A host that will send `pairs` for `tree_id` to the reducer
-    /// addressed by `endpoints`.
-    pub fn new(
-        config: &DaietConfig,
-        tree_id: u16,
-        pairs: Vec<Pair>,
-        endpoints: Endpoints,
-    ) -> SenderHost {
-        SenderHost {
-            tree_id,
-            pairs,
-            endpoints,
-            packetizer: Packetizer::new(config),
-            gap: Duration::from_micros(1),
-            queue: Vec::new(),
-            next: 0,
-        }
-    }
-}
-
-impl Node for SenderHost {
-    fn on_packet(&mut self, _ctx: &mut dyn Fabric, _port: PortId, _frame: Frame) {}
-
-    fn on_start(&mut self, ctx: &mut dyn Fabric) {
-        self.queue = self.packetizer.frames(
-            self.tree_id,
-            &self.pairs,
-            &self.endpoints,
-            daiet_wire::udp::DAIET_PORT,
-            ctx.pool(),
-        );
-        ctx.schedule(self.gap, 0);
-    }
-
-    fn on_timer(&mut self, ctx: &mut dyn Fabric, _token: u64) {
-        if self.next < self.queue.len() {
-            ctx.send(PortId(0), self.queue[self.next].clone());
-            self.next += 1;
-            ctx.schedule(self.gap, 0);
-        }
-    }
-
-    fn name(&self) -> String {
-        format!("sender(tree {})", self.tree_id)
-    }
+) -> PacedSenderNode {
+    let mut node = PacedSenderNode::new(Duration::from_micros(1), "sender");
+    let mut next_seq = FnvHashMap::default();
+    node.enqueue_round(plan_round(config, &[(tree_id, endpoints, pairs)], &mut next_seq, 0, 1));
+    node
 }
 
 /// A minimal reducer host: collects DAIET packets until complete.
@@ -825,6 +799,10 @@ pub struct ReducerHost {
     /// Receive-side reliability (dedup and/or NACK recovery — the
     /// default guard is the paper-faithful fire-and-forget path).
     guard: crate::reliability::ReceiverGuard,
+    /// The trees this reducer is leased for (`None`: every tree).
+    trees: Option<Vec<u16>>,
+    /// Frames of other trees, dropped before dedup or collection.
+    pub foreign_dropped: u64,
 }
 
 impl ReducerHost {
@@ -834,7 +812,17 @@ impl ReducerHost {
             collector: Collector::new(agg, expected_ends),
             completed_at: None,
             guard: crate::reliability::ReceiverGuard::new(),
+            trees: None,
+            foreign_dropped: 0,
         }
+    }
+
+    /// Leases this reducer to `trees`: frames of any other tree are
+    /// dropped and counted in [`foreign_dropped`](Self::foreign_dropped),
+    /// so a pooled reducer slot never counts a straggler of the job that
+    /// held it before.
+    pub fn lease(&mut self, trees: Vec<u16>) {
+        self.trees = Some(trees);
     }
 
     /// Enables receive-side duplicate suppression (pairs with
@@ -920,6 +908,10 @@ impl Node for ReducerHost {
         let Some((hdr, src, parsed)) = receive_daiet(frame) else {
             return;
         };
+        if self.trees.as_ref().is_some_and(|t| !t.contains(&hdr.tree_id)) {
+            self.foreign_dropped += 1;
+            return;
+        }
         if !self.guard.admit(&hdr, src, ctx) {
             return;
         }
@@ -996,15 +988,16 @@ mod tests {
 
     #[test]
     fn frames_parse_back() {
-        let p = Packetizer::new(&DaietConfig::default());
+        let config = DaietConfig::default();
         let ep = Endpoints::from_ids(7, 8);
         let pool = FramePool::new();
-        let frames = p.frames(2, &npairs(12), &ep, 777, &pool);
-        assert_eq!(frames.len(), 3);
+        let round = plan_round(&config, &[(2, ep, npairs(12))], &mut FnvHashMap::default(), 0, 1);
+        let flow = &round.flows[0];
+        assert_eq!(flow.packets(), 3);
         // Frames match the Repr-based packetization exactly.
-        let reprs = p.packets(2, &npairs(12));
-        for (f, repr) in frames.iter().zip(&reprs) {
-            let parsed = parse(f.clone(), &host_parser_config()).unwrap();
+        let reprs = Packetizer::new(&config).packets(2, &npairs(12));
+        for (i, repr) in reprs.iter().enumerate() {
+            let (_, _, parsed) = receive_daiet(flow.frame(i as u32, &pool)).unwrap();
             assert_eq!(parsed.daiet_repr().as_ref(), Some(repr));
         }
     }
@@ -1052,45 +1045,50 @@ mod tests {
         assert_eq!(sorted, vec!["alpha", "mid", "zebra"]);
     }
 
-    /// Satellite (ISSUE 5): the interleave offset is what spreads fan-in
-    /// across trees; an iterative sender passes `sender_index + round` so
-    /// the lead rotates per round. Pin the offset semantics: queue
-    /// `offset % n` transmits first, order within each queue is
-    /// preserved, and over any `n` consecutive rounds every queue leads
-    /// exactly once (fairness — no tree is always drained first).
+    /// The round-robin offset is what spreads fan-in across trees; an
+    /// iterative sender passes `sender_index + round` so the lead rotates
+    /// per round. Pin the offset semantics: tree `offset % n` transmits
+    /// first, order within each tree is preserved, and over any `n`
+    /// consecutive rounds every tree leads exactly once (fairness — no
+    /// tree is always drained first).
     #[test]
     fn interleave_offset_rotates_the_lead_across_rounds() {
+        let config = DaietConfig { pairs_per_packet: 1, ..DaietConfig::default() };
         let pool = FramePool::new();
-        let frame = |tag: u8| pool.copy_from_slice(&[tag]);
         let n = 3usize;
-        let make_queues = || -> Vec<Vec<Frame>> {
-            (0..n as u8)
-                .map(|q| (0..4).map(|i| frame(q * 10 + i)).collect())
-                .collect()
-        };
+        let parts: Vec<(u16, Endpoints, Vec<Pair>)> =
+            (0..n as u16).map(|t| (t, Endpoints::from_ids(1, 2), npairs(3))).collect();
         let sender_index = 2usize;
+        let mut next_seq = FnvHashMap::default();
         let mut leads = Vec::new();
         for round in 0..2 * n {
-            let out = interleave_round_robin(make_queues(), sender_index + round);
-            assert_eq!(out.len(), n * 4);
-            leads.push(out[0][0] / 10);
-            // Every queue's internal order is preserved (ENDs still trail
-            // their tree's data).
-            for q in 0..n as u8 {
-                let tags: Vec<u8> =
-                    out.iter().map(|f| f[0]).filter(|t| t / 10 == q).collect();
-                assert_eq!(tags, vec![q * 10, q * 10 + 1, q * 10 + 2, q * 10 + 3]);
+            let plan = plan_round(&config, &parts, &mut next_seq, sender_index + round, 1);
+            let mut tx = Transmit::new(plan);
+            let sent: Vec<Header> = std::iter::from_fn(|| tx.next(&pool))
+                .map(|f| receive_daiet(f).unwrap().0)
+                .collect();
+            assert_eq!(sent.len(), n * 4);
+            leads.push(sent[0].tree_id);
+            // Every tree's internal order is preserved: consecutive
+            // sequence numbers, the END last.
+            for q in 0..n as u16 {
+                let tree: Vec<&Header> = sent.iter().filter(|h| h.tree_id == q).collect();
+                let base = 4 * round as u32;
+                assert_eq!(
+                    tree.iter().map(|h| h.seq).collect::<Vec<_>>(),
+                    (base..base + 4).collect::<Vec<_>>()
+                );
+                assert_eq!(tree[3].packet_type, PacketType::End);
             }
         }
-        // The lead rotates: round r leads with queue (sender + r) % n…
-        let expect: Vec<u8> =
-            (0..2 * n).map(|r| ((sender_index + r) % n) as u8).collect();
+        // The lead rotates: round r leads with tree (sender + r) % n…
+        let expect: Vec<u16> = (0..2 * n).map(|r| ((sender_index + r) % n) as u16).collect();
         assert_eq!(leads, expect);
-        // …so across any n consecutive rounds each queue led exactly once.
+        // …so across any n consecutive rounds each tree led exactly once.
         for w in leads.windows(n) {
             let mut sorted = w.to_vec();
             sorted.sort_unstable();
-            assert_eq!(sorted, (0..n as u8).collect::<Vec<u8>>(), "unfair window {w:?}");
+            assert_eq!(sorted, (0..n as u16).collect::<Vec<u16>>(), "unfair window {w:?}");
         }
     }
 
@@ -1106,13 +1104,13 @@ mod tests {
         let mut sim = Simulator::new(11);
 
         // Two senders, one reducer, one switch doing the aggregation.
-        let s1 = sim.add_node(Box::new(SenderHost::new(
+        let s1 = sim.add_node(Box::new(sender_host(
             &config,
             1,
             vec![Pair::new(key("dog"), 2), Pair::new(key("cat"), 1)],
             Endpoints::from_ids(1, 3),
         )));
-        let s2 = sim.add_node(Box::new(SenderHost::new(
+        let s2 = sim.add_node(Box::new(sender_host(
             &config,
             1,
             vec![Pair::new(key("dog"), 5)],

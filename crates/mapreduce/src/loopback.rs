@@ -9,7 +9,6 @@
 //! **byte-identical** to the simulator's — `tests/fabric_properties.rs`
 //! asserts it.
 
-use crate::serialize;
 use crate::Runner;
 use daiet::controller::{AggregationMode, Controller};
 use daiet::loopback::{wall_clock_config, LoopbackJob, ReducerReport};
@@ -76,7 +75,7 @@ pub fn run_wordcount_loopback(
     let shards: Vec<Vec<Vec<daiet_wire::daiet::Pair>>> = (0..spec.n_mappers)
         .map(|m| {
             (0..spec.n_reducers)
-                .map(|r| serialize::to_pairs(&runner.corpus.partitions[m][r]))
+                .map(|r| runner.corpus.pairs(m, r).to_vec())
                 .collect()
         })
         .collect();

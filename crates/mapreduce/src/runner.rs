@@ -31,6 +31,7 @@ use daiet_netsim::{
     FramePool, LinkSpec, NodeId, PartitionMap, SimDuration, SimTime, Simulator,
 };
 use daiet_transport::tcp::{BulkSenderNode, SinkReceiverNode, TcpConfig};
+use daiet_wire::daiet::Key;
 use std::cell::RefCell;
 use daiet_wire::fnv::FnvHashMap;
 
@@ -260,8 +261,9 @@ impl Runner {
                     *merged.entry(rec.word).or_insert(0) += rec.count;
                 }
             }
-            let mut got: Vec<(String, u32)> = merged.iter().map(|(w, &c)| (w.clone(), c)).collect();
-            got.sort();
+            let distinct_keys = merged.len();
+            let mut got: Vec<(String, u32)> = merged.into_iter().collect();
+            got.sort_unstable();
             let correct = got == self.corpus.expected_reduction(r)
                 && node.finished.len() == spec.n_mappers;
             let nic = sim.node_stats(ids[slot]);
@@ -271,7 +273,7 @@ impl Runner {
                 nic_frames_in: nic.frames_in,
                 nic_frames_observed: nic.frames_observed(),
                 records,
-                distinct_keys: merged.len(),
+                distinct_keys,
                 reduce_time_ns: self.cost.baseline_reduce_ns(records, spec.n_mappers),
                 correct,
             });
@@ -311,26 +313,20 @@ impl Runner {
                     if let Some(m) = placement.mappers.iter().position(|&s| s == slot) {
                         let partitions: Vec<_> = (0..spec.n_reducers)
                             .map(|r| {
-                                (
-                                    dep.tree_id(r),
-                                    dep.endpoints(slot, r),
-                                    serialize::to_pairs(&self.corpus.partitions[m][r]),
-                                )
+                                let pairs = self.corpus.pairs(m, r).clone();
+                                (dep.tree_id(r), dep.endpoints(slot, r), pairs)
                             })
                             .collect();
-                        // Preloaded frames must come from the pool of the
-                        // partition that will transmit them (pools are
-                        // strictly partition-local).
-                        let pool = sim.partition_pool(pmap.part_of(slot)).clone();
-                        sim.add_node(Box::new(daiet::worker::multi_tree_sender(
+                        let sender = daiet::worker::multi_tree_sender(
                             &self.daiet_config,
                             m,
                             &partitions,
                             self.redundancy,
                             self.pacing,
-                            &pool,
+                            sim.partition_pool(pmap.part_of(slot)),
                             "udp-mapper",
-                        )))
+                        );
+                        sim.add_node(Box::new(sender))
                     } else {
                         let r = placement
                             .reducers
@@ -364,13 +360,8 @@ impl Runner {
         for (r, &slot) in placement.reducers.iter().enumerate() {
             let node = sim.node_ref::<ReducerHost>(ids[slot]).expect("reducer node");
             let stats = node.collector.stats();
-            let mut got: Vec<(String, u32)> = node
-                .collector
-                .get_all()
-                .map(|(k, v)| (k.display_lossy(), v))
-                .collect();
-            got.sort();
-            let correct = node.collector.is_complete() && got == self.corpus.expected_reduction(r);
+            let correct = node.collector.is_complete()
+                && matches_expected(node.collector.get_all(), self.corpus.expected_reduction(r));
             let nic = sim.node_stats(ids[slot]);
             reducers.push(ReducerMetrics {
                 reducer: r,
@@ -395,6 +386,16 @@ impl Runner {
             .unwrap_or(finished_at);
         RunOutcome { mode, reducers, frames_dropped: total_drops(&sim), finished_at, data_done_at }
     }
+}
+
+/// Whether the collected `(key, count)` pairs equal `want`, the sorted
+/// `(word, count)` ground truth, without a String per key: sorted
+/// zero-padded keys come out in word order (no corpus word holds a NUL).
+fn matches_expected(got: impl Iterator<Item = (Key, u32)>, want: &[(String, u32)]) -> bool {
+    let mut got: Vec<(Key, u32)> = got.collect();
+    got.sort_unstable_by_key(|&(k, _)| k);
+    got.len() == want.len()
+        && got.iter().zip(want).all(|((k, v), (w, c))| k.trimmed() == w.as_bytes() && v == c)
 }
 
 fn total_drops(sim: &Simulator) -> u64 {
@@ -478,6 +479,20 @@ mod tests {
         let d_total: usize = daiet.reducers.iter().map(|r| r.records).sum();
         let u_total: usize = udp.reducers.iter().map(|r| r.records).sum();
         assert!(d_total < u_total, "no aggregation happened");
+    }
+
+    #[test]
+    fn matches_expected_compares_words_and_counts() {
+        let want = [("ab".to_string(), 2), ("abc".to_string(), 1), ("b".to_string(), 5)];
+        let check = |rows: &[(&str, u32)]| {
+            let got: Vec<(Key, u32)> =
+                rows.iter().map(|&(w, c)| (Key::from_str_key(w).unwrap(), c)).collect();
+            matches_expected(got.into_iter(), &want)
+        };
+        assert!(check(&[("b", 5), ("ab", 2), ("abc", 1)]));
+        assert!(!check(&[("b", 5), ("ab", 2)]), "a key is missing");
+        assert!(!check(&[("b", 5), ("ab", 3), ("abc", 1)]), "a count differs");
+        assert!(!check(&[("b", 5), ("ab", 2), ("abd", 1)]), "a word differs");
     }
 
     #[test]

@@ -59,24 +59,9 @@ impl TenantWorkload for WordCountTenant {
     }
 
     fn shards(&mut self, _round: u64) -> Vec<Vec<Vec<Pair>>> {
-        self.corpus
-            .partitions
-            .iter()
-            .map(|per_reducer| {
-                per_reducer
-                    .iter()
-                    .map(|records| {
-                        records
-                            .iter()
-                            .map(|rec| {
-                                let key = Key::from_str_key(&rec.word)
-                                    .expect("corpus words fit the key width");
-                                Pair::new(key, rec.count)
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
+        let spec = &self.corpus.spec;
+        (0..spec.n_mappers)
+            .map(|m| (0..spec.n_reducers).map(|r| self.corpus.pairs(m, r).to_vec()).collect())
             .collect()
     }
 

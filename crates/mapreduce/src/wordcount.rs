@@ -29,7 +29,9 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use daiet_wire::fnv::{FnvBuildHasher, FnvHashMap, FnvHashSet};
 
-use crate::serialize::Record;
+use crate::serialize::{self, Record};
+use daiet_wire::daiet::Pair;
+use std::sync::Arc;
 
 /// Corpus parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,6 +113,9 @@ pub struct Corpus {
     /// check runs after every simulated shuffle; recomputing it per run
     /// used to dominate small benches).
     expected: Vec<Vec<(String, u32)>>,
+    /// `partitions` as DAIET pairs, converted once and shared read-only
+    /// with every job's senders.
+    pairs: Vec<Vec<Arc<[Pair]>>>,
 }
 
 impl Corpus {
@@ -171,7 +176,13 @@ impl Corpus {
             e.sort();
         }
 
-        Corpus { spec: *spec, partitions, truth, expected }
+        let pairs = partitions
+            .iter()
+            .map(|per_reducer| {
+                per_reducer.iter().map(|recs| serialize::to_pairs(recs).into()).collect()
+            })
+            .collect();
+        Corpus { spec: *spec, partitions, truth, expected, pairs }
     }
 
     /// Total shuffle records (pre-aggregation).
@@ -191,6 +202,13 @@ impl Corpus {
     /// Mean mapper multiplicity actually realized.
     pub fn realized_multiplicity(&self) -> f64 {
         self.total_records() as f64 / self.truth.len() as f64
+    }
+
+    /// Mapper `m`'s partition for reducer `r` as DAIET pairs, in record
+    /// order. Converted at generation, so jobs share it instead of
+    /// re-serializing `partitions[m][r]`.
+    pub fn pairs(&self, m: usize, r: usize) -> &Arc<[Pair]> {
+        &self.pairs[m][r]
     }
 
     /// The reference result for reducer `r`, sorted by word — what a

@@ -540,19 +540,12 @@ impl Simulator {
 
     /// The frame pool of partition 0. Single-partition callers (the
     /// common case) use this to build pooled frames outside node
-    /// callbacks; partitioned harnesses must use
-    /// [`pool_for`](Self::pool_for) so preloaded frames live in the pool
-    /// of the partition that will transmit them.
+    /// callbacks; a frame handed to a node of another partition must
+    /// come from [`partition_pool`](Self::partition_pool) instead,
+    /// because pooled buffers are `Rc`-backed and strictly
+    /// partition-local.
     pub fn pool(&self) -> &FramePool {
         &self.parts[0].pool
-    }
-
-    /// The frame pool of the partition owning `node` — frames preloaded
-    /// into a node from outside callbacks must come from here, because
-    /// pooled buffers are `Rc`-backed and strictly partition-local.
-    pub fn pool_for(&self, node: NodeId) -> &FramePool {
-        let owner = self.part_of.get(node.0).copied().unwrap_or(0);
-        &self.parts[owner as usize].pool
     }
 
     /// The frame pool of partition `part`.

@@ -504,18 +504,16 @@ impl QueryRunner {
                         .enumerate()
                         .map(|(l, pairs)| (dep.tree_id(l), dep.endpoints(slot, l), pairs))
                         .collect();
-                    // Preloaded frames come from the pool of the partition
-                    // that will transmit them (pools are partition-local).
-                    let pool = sim.partition_pool(pmap.part_of(slot)).clone();
-                    sim.add_node(Box::new(daiet::worker::multi_tree_sender(
+                    let sender = daiet::worker::multi_tree_sender(
                         &self.daiet_config,
                         w,
                         &lanes,
                         self.redundancy,
                         self.pacing,
-                        &pool,
+                        sim.partition_pool(pmap.part_of(slot)),
                         "query-worker",
-                    )))
+                    );
+                    sim.add_node(Box::new(sender))
                 }
                 Role::Host => {
                     let mut node = QueryCoordinatorNode::new(

@@ -616,6 +616,28 @@ mod tests {
         Pair::new(Key::from_str_key(k).unwrap(), v)
     }
 
+    /// Zero padding keeps word order: for words without NUL bytes, keys
+    /// compare exactly as the words do (a prefix sorts first).
+    #[test]
+    fn padded_key_order_is_word_order() {
+        let mut words = vec![String::new()];
+        for len in 0..3 {
+            let longer: Vec<String> = words
+                .iter()
+                .filter(|w| w.len() == len)
+                .flat_map(|w| ["\u{1}", "a", "b", "\u{7f}"].map(|c| format!("{w}{c}")))
+                .collect();
+            words.extend(longer);
+        }
+        words.extend(["a".repeat(15), "a".repeat(16), format!("{}b", "a".repeat(15))]);
+        for a in &words {
+            for b in &words {
+                let (ka, kb) = (Key::from_str_key(a).unwrap(), Key::from_str_key(b).unwrap());
+                assert_eq!(ka.cmp(&kb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
     #[test]
     fn key_padding_and_trimming() {
         let k = Key::from_str_key("cat").unwrap();

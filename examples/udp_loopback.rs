@@ -29,7 +29,6 @@ use daiet_repro::daiet::worker::{multi_tree_sender, reducer_host, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::fabric::{Duration, FaultShim, FramePool, NodeDriver};
-use daiet_repro::mapreduce::serialize::to_pairs;
 use daiet_repro::mapreduce::wordcount::{Corpus, CorpusSpec};
 use daiet_repro::netsim::topology::TopologyPlan;
 use daiet_repro::netsim::LinkSpec;
@@ -235,7 +234,7 @@ fn child(role: &str) {
 
     if let Some(w) = role.strip_prefix("worker:") {
         let w: usize = w.parse().expect("worker index");
-        let parts = vec![(dep.tree_id(0), dep.endpoints(w, 0), to_pairs(&corpus.partitions[w][0]))];
+        let parts = [(dep.tree_id(0), dep.endpoints(w, 0), corpus.pairs(w, 0).clone())];
         let pool = FramePool::new();
         let node =
             multi_tree_sender(&config, w, &parts, 1, Duration::from_micros(50), &pool, "proc-worker");

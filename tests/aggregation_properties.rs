@@ -7,7 +7,7 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{sender_host, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::Resources;
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
@@ -50,7 +50,7 @@ fn aggregate_via_network(
         let id = match plan.role(slot) {
             Role::Host => {
                 if let Some(m) = mappers.iter().position(|&s| s == slot) {
-                    sim.add_node(Box::new(SenderHost::new(
+                    sim.add_node(Box::new(sender_host(
                         &config,
                         dep.tree_id(0),
                         partitions[m].clone(),
@@ -64,7 +64,7 @@ fn aggregate_via_network(
                 } else {
                     // Unused host slot: a quiet sender with no pairs that
                     // still exists so plan wiring lines up.
-                    sim.add_node(Box::new(SenderHost::new(
+                    sim.add_node(Box::new(sender_host(
                         &config,
                         u16::MAX, // tree nobody routes; it sends only an END for an unknown tree
                         Vec::new(),

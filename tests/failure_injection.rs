@@ -5,7 +5,7 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{sender_host, ReducerHost};
 use daiet_repro::daiet::DaietConfig;
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::netsim::topology::{Role, TopologyPlan};
@@ -33,7 +33,7 @@ fn run(config: DaietConfig, faults: FaultProfile, seed: u64) -> Outcome {
     let mut ids = Vec::new();
     for slot in 0..plan.len() {
         let id = match plan.role(slot) {
-            Role::Host if slot < 3 => sim.add_node(Box::new(SenderHost::new(
+            Role::Host if slot < 3 => sim.add_node(Box::new(sender_host(
                 &config,
                 dep.tree_id(0),
                 vec![Pair::new(word, 5)],

@@ -9,7 +9,7 @@ use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
 use daiet_repro::daiet::reliability::WINDOW;
 use daiet_repro::daiet::worker::{
-    IterativeRunner, IterativeSpec, PacedSenderNode, Packetizer, ReducerHost,
+    plan_round, IterativeRunner, IterativeSpec, PacedSenderNode, ReducerHost,
 };
 use daiet_repro::daiet::{DaietConfig, DaietEngine};
 use daiet_repro::dataplane::{Resources, Switch};
@@ -22,6 +22,7 @@ use daiet_repro::netsim::{
     FaultDecision, FaultProfile, LinkScript, LinkSpec, SimDuration, Simulator,
 };
 use daiet_repro::wire::daiet::{Key, Pair};
+use daiet_repro::wire::fnv::FnvHashMap;
 
 /// The pinned-seed knob the CI matrix turns (two seeds, see
 /// `.github/workflows/ci.yml`).
@@ -194,8 +195,6 @@ fn lost_round_flush_is_nacked_after_next_round_traffic_started() {
 
     // Two rounds of disjoint keys in ONE continuous paced schedule; the
     // second round's sequence numbers continue the first's.
-    let pool = daiet_repro::netsim::FramePool::new();
-    let packetizer = Packetizer::new(&config);
     let tree = dep.tree_id(0);
     let ep = dep.endpoints(0, 0);
     let round_pairs = |round: usize| -> Vec<Pair> {
@@ -208,33 +207,19 @@ fn lost_round_flush_is_nacked_after_next_round_traffic_started() {
             })
             .collect()
     };
-    let (mut frames, next) = packetizer.frames_from_seq(
-        tree,
-        &round_pairs(0),
-        &ep,
-        daiet_repro::wire::udp::DAIET_PORT,
-        0,
-        &pool,
-    );
-    let (round2, _) = packetizer.frames_from_seq(
-        tree,
-        &round_pairs(1),
-        &ep,
-        daiet_repro::wire::udp::DAIET_PORT,
-        next,
-        &pool,
-    );
-    frames.extend(round2);
+    let mut sender = PacedSenderNode::new(SimDuration::from_micros(1), "two-round-sender");
+    let mut next_seq = FnvHashMap::default();
+    for round in 0..2 {
+        let parts = [(tree, ep, round_pairs(round))];
+        sender.enqueue_round(plan_round(&config, &parts, &mut next_seq, 0, 1));
+    }
+    let mut sender = Some(sender);
 
     let mut sim = Simulator::new(iter_seed());
     let mut ids = Vec::new();
     for slot in 0..plan.len() {
         let id = match plan.role(slot) {
-            Role::Host if slot == 0 => sim.add_node(Box::new(PacedSenderNode::new(
-                frames.clone(),
-                SimDuration::from_micros(1),
-                "two-round-sender",
-            ))),
+            Role::Host if slot == 0 => sim.add_node(Box::new(sender.take().unwrap())),
             Role::Host => {
                 let sources = dep
                     .reducer_sources(0, &placement.mappers)

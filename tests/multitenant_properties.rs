@@ -32,6 +32,7 @@ use daiet_repro::daiet::tenant::{
     poisson_offsets, run_mix, run_solo, JobRequest, JobScheduler, MixOptions, TenantSpec,
     TenantWorkload,
 };
+use daiet_repro::daiet::worker::ReducerHost;
 use daiet_repro::daiet::{AggFn, DaietConfig};
 use daiet_repro::dataplane::Resources;
 use daiet_repro::fabric::Duration;
@@ -341,4 +342,50 @@ fn proper_teardown_preserves_the_neighbors_recovery() {
     assert_eq!(got, vec![want]);
     sched.depart(b).expect("B departs cleanly");
     assert_eq!(sched.flow_demand_at(8), 0, "gap-tracker rosters drained");
+}
+
+/// Regression, pinned failing-first: a straggler END of a departed job
+/// must not be counted by the next job leased to the same reducer slot.
+/// One long-lived lossy fabric runs a stream of 24-arrival mixes (the
+/// benchmark's `tenant-churn-sim` shape); at seed 24 a late duplicate
+/// END from a departed job's quarantined tree reached a re-leased
+/// reducer in mix 4, and the new job's round failed with "saw 2/1 ENDs
+/// — foreign traffic leaked into the job". Reducers now count DATA and
+/// END only for the trees they are leased for.
+#[test]
+fn straggler_end_of_a_departed_job_does_not_leak_into_the_next_lease() {
+    let seed = 24u64;
+    let link = clean_link().with_faults(FaultProfile::loss(0.01));
+    let plan = TopologyPlan::leaf_spine(5, 4, 2, link);
+    let hosts = plan.hosts();
+    let mut spec =
+        TenantSpec::new(recovery_config(), plan, hosts[..12].to_vec(), hosts[12..18].to_vec());
+    spec.seed = seed;
+    spec.partitions = 1;
+    let mut sched = JobScheduler::build(spec).expect("tenant fabric must build");
+    for mix in 0..5usize {
+        let s = seed.wrapping_mul(1_000_003).wrapping_add(mix as u64);
+        let arrivals: Vec<(Duration, Box<dyn TenantWorkload>)> =
+            poisson_offsets(s, Duration::from_micros(30), 24)
+                .into_iter()
+                .enumerate()
+                .map(|(j, off)| (off, make(ALL_KINDS[j % 3], job_seed(s, j))))
+                .collect();
+        let out = run_mix(&mut sched, arrivals, &MixOptions::default())
+            .unwrap_or_else(|e| panic!("mix {mix} failed: {e}"));
+        assert_eq!(out.jobs.len(), 24, "mix {mix}: every arrival must finish");
+    }
+    let foreign: u64 = sched
+        .spec()
+        .reducer_slots
+        .iter()
+        .map(|&slot| {
+            sched
+                .sim()
+                .node_ref::<ReducerHost>(sched.node_id(slot))
+                .expect("reducer pool slot")
+                .foreign_dropped
+        })
+        .sum();
+    assert!(foreign > 0, "no straggler reached a re-leased reducer: the test proved nothing");
 }

@@ -12,7 +12,7 @@
 
 use daiet_repro::daiet::agg::AggFn;
 use daiet_repro::daiet::controller::{AggregationMode, Controller, JobPlacement};
-use daiet_repro::daiet::worker::{ReducerHost, SenderHost};
+use daiet_repro::daiet::worker::{sender_host, ReducerHost};
 use daiet_repro::daiet::{DaietConfig, DaietEngine};
 use daiet_repro::dataplane::{Resources, Switch};
 use daiet_repro::mapreduce::runner::{Runner, ShuffleMode};
@@ -69,7 +69,7 @@ fn run_flush_loss(recover: bool) -> FlushLossOutcome {
                         Pair::new(k, 1 + i as u32)
                     })
                     .collect();
-                sim.add_node(Box::new(SenderHost::new(
+                sim.add_node(Box::new(sender_host(
                     &config,
                     dep.tree_id(0),
                     pairs,
@@ -192,7 +192,7 @@ fn mid_round_spillover_loss_is_recovered_while_stream_is_hot() {
                         Pair::new(k, 1 + i as u32)
                     })
                     .collect();
-                sim.add_node(Box::new(SenderHost::new(
+                sim.add_node(Box::new(sender_host(
                     &config,
                     dep.tree_id(0),
                     pairs,
